@@ -19,9 +19,10 @@ import click
 import numpy as np
 
 from . import nist as nist_mod
-from . import regime, reservoir, signals, stochastic, trng
-from .errors import SoftdynError
-from .oscillator import DriveParams, OscillatorConfig, default_step, simulate
+from . import regime, reservoir, signals, stochastic, trajio, trng
+from .errors import BoundaryGapError, ParseError, SchemaError, SoftdynError
+from .oscillator import (DriveParams, OscillatorConfig, Trajectory, default_step,
+                         simulate)
 
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
@@ -86,6 +87,21 @@ def _load_config(path: str | None) -> OscillatorConfig:
     return OscillatorConfig.from_json(path)
 
 
+def _read_trajectory(path: str, drive: DriveParams) -> Trajectory:
+    """Load a recorded `t_s,x,y` CSV or a simulated `t_s,x,y,phase` CSV, by header.
+
+    A recorded file has its dropped frames interpolated and is resampled
+    at one over its median frame interval.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip().lower().replace(" ", "")
+    if header != "t_s,x,y":
+        return Trajectory.from_csv(path)
+    series = trajio.fill_gaps(trajio.load_tracked_csv(path))
+    rate = 1.0 / float(np.median(np.diff(series.t)))
+    return trajio.resample_uniform(series, rate, drive)
+
+
 def _grid(spec: str) -> np.ndarray:
     lo, hi, num = spec.split(":")
     return np.linspace(float(lo), float(hi), int(num))
@@ -146,7 +162,8 @@ def simulate_cmd(seed, out, config_path, drive_freq, drive_amp, tilt,
 @cli.command()
 @global_options
 @click.option("--input", "input_path", type=click.Path(exists=True), default=None,
-              help="Trajectory CSV to classify (default: simulate one).")
+              help="Trajectory CSV to classify, recorded (t_s,x,y) or simulated "
+                   "(t_s,x,y,phase) (default: simulate one).")
 @click.option("--drive-freq", type=float, default=18.0, show_default=True)
 @click.option("--drive-amp", type=float, default=9.0, show_default=True)
 @click.option("--periods", type=int, default=300, show_default=True)
@@ -156,8 +173,7 @@ def classify(seed, out, config_path, input_path, drive_freq, drive_amp, periods)
     config = _load_config(config_path)
     drive = DriveParams(amplitude=drive_amp, frequency=drive_freq)
     if input_path is not None:
-        from .oscillator import Trajectory
-        traj = Trajectory.from_csv(input_path)
+        traj = _read_trajectory(input_path, drive)
     else:
         dt = default_step(config, drive)
         traj = simulate(config, drive, (periods + 20) / drive_freq, dt)
@@ -420,7 +436,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
+    except (ValueError, ParseError, SchemaError, BoundaryGapError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         return EXIT_VALIDATION
     except SoftdynError as exc:

@@ -8,9 +8,11 @@ class SoftdynError(Exception):
 class IntegrationDivergedError(SoftdynError):
     """Numerical integration produced a non-finite state."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, row: int | None = None):
         self.t = t
-        super().__init__(f"integration diverged at t = {t:.6g} s")
+        self.row = row
+        where = "" if row is None else f" in batch row {row}"
+        super().__init__(f"integration diverged at t = {t:.6g} s{where}")
 
 
 class ParseError(SoftdynError):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,27 +207,21 @@ def _sweep_cell(config, f, amp, periods, thresholds):
 
 
 def phase_diagram_sweep(config: OscillatorConfig, f_grid, a_grid, periods: int = 300,
-                        thresholds: RegimeThresholds = RegimeThresholds(),
-                        max_workers: int | None = None):
+                        thresholds: RegimeThresholds = RegimeThresholds()):
     """Classify every (frequency, amplitude) cell; per-cell failures are recorded, not raised.
 
     Returns a dict mapping (f, A) to RegimeLabel or to an error string.
+    Only package errors and ValueError are recorded; any other exception
+    is a programming error and propagates.
     """
-    if max_workers is None:
-        max_workers = min(8, int(os.environ.get("SOFTDYN_THREADS", os.cpu_count() or 1)))
-    cells = [(float(f), float(a)) for f in f_grid for a in a_grid]
-
-    def run(cell):
-        f, a = cell
-        try:
-            return cell, _sweep_cell(config, f, a, periods, thresholds)
-        except Exception as exc:  # recorded per cell, sweep continues
-            return cell, f"error: {exc}"
-
     results = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for cell, outcome in pool.map(run, cells):
-            results[cell] = outcome
+    for f in f_grid:
+        for a in a_grid:
+            cell = (float(f), float(a))
+            try:
+                results[cell] = _sweep_cell(config, *cell, periods, thresholds)
+            except (SoftdynError, ValueError) as exc:
+                results[cell] = f"error: {exc}"
     return results
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .oscillator import DriveParams, OscillatorConfig, _rhs, tip_position
+from .oscillator import DriveParams, OscillatorConfig, _rk4_steps, tip_position
 from .signals import MGParams, mackey_glass, waveform
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "run_mg_task",
 ]
 
-_STATE_BLOWUP = 1.0e6
 DEFAULT_CARRIER = DriveParams(amplitude=1.0, frequency=4.8)
 
 
@@ -103,20 +102,9 @@ def excite_reservoir(u: np.ndarray, field_scale: float,
     b_sub = env * np.sin(w * t_sub)
     b_mid = env_mid * np.sin(w * (t_sub[:-1] + 0.5 * dt))
 
-    state = np.zeros(4)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    for i in range(n_steps):
-        k1 = _rhs(state, b_sub[i], cfg)
-        k2 = _rhs(state + (0.5 * dt) * k1, b_mid[i], cfg)
-        k3 = _rhs(state + (0.5 * dt) * k2, b_mid[i], cfg)
-        k4 = _rhs(state + dt * k3, b_sub[i + 1], cfg)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (i + 1) % steps_per_point == 0:
-            if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > _STATE_BLOWUP:
-                raise IntegrationDivergedError((i + 1) * dt)
-            j = (i + 1) // steps_per_point - 1
-            xs[j], ys[j] = tip_position(state[0], state[2], cfg)
+    _, q = _rk4_steps(cfg, np.zeros((4, 1)), n_steps, dt, fields=(b_sub, b_mid),
+                      record_every=steps_per_point)
+    xs, ys = tip_position(q[:, 0, 0], q[:, 1, 0], cfg)
     x_norm, xb = _normalize(xs)
     y_norm, yb = _normalize(ys)
     return x_norm, y_norm, {"x": xb, "y": yb}

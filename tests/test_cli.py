@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from softdyn.cli import main
+from softdyn.oscillator import DriveParams, OscillatorConfig, simulate
 
 
 def run(args, tmp_path, sub="a"):
@@ -46,6 +47,35 @@ def test_classify_chaotic_cell(tmp_path):
     with open(os.path.join(out, "classification.json")) as fh:
         payload = json.load(fh)
     assert payload["label"] == "Chaotic"
+
+
+def recorded_csv(path, drop=(), bad_line=None):
+    """A `t_s,x,y` file from a simulated 18 Hz run; dropped frames have empty cells."""
+    traj = simulate(OscillatorConfig.calibrated_default(),
+                    DriveParams(amplitude=9.0, frequency=18.0), 60 / 18.0, 1 / 1080.0)
+    lines = ["t_s,x,y"] + [f"{t:.17g},{x:.17g},{y:.17g}"
+                           for t, x, y in zip(traj.t, traj.x, traj.y)]
+    for i in drop:
+        lines[i] = lines[i].split(",")[0] + ",,"
+    if bad_line is not None:
+        lines[bad_line - 1] = "0.5;0.1;0.2"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_classify_recorded_csv_with_dropped_frame(tmp_path):
+    path = recorded_csv(tmp_path / "tracked.csv", drop=(500,))
+    code, out = run(["classify", "--input", path], tmp_path)
+    assert code == 0
+    with open(os.path.join(out, "classification.json")) as fh:
+        assert json.load(fh)["label"] in ("Periodic", "Quasiperiodic", "Chaotic")
+
+
+def test_classify_malformed_recorded_csv_exits_1(tmp_path, capsys):
+    path = recorded_csv(tmp_path / "tracked.csv", bad_line=40)
+    code, _ = run(["classify", "--input", path], tmp_path)
+    assert code == 1
+    assert "line 40" in capsys.readouterr().err
 
 
 def test_sweep_csv_covers_grid(tmp_path):

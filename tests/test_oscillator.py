@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from softdyn import oscillator
 from softdyn.errors import IntegrationDivergedError
 from softdyn.oscillator import (DriveParams, OscillatorConfig, Trajectory,
-                                drive_field, largest_lyapunov, simulate,
-                                simulate_batch, tip_position)
+                                default_step, drive_field, largest_lyapunov,
+                                simulate, simulate_batch, tip_position)
 
 
 def test_drive_validation():
@@ -86,6 +87,7 @@ def test_noise_is_seeded(config):
     assert not np.array_equal(a.x, c.x)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integration_divergence_reported():
     # unstable parameters: negative stiffness dominates immediately
     cfg = OscillatorConfig(omega1=1.0, omega2=1.0, zeta1=0.01, zeta2=0.01,
@@ -94,6 +96,46 @@ def test_integration_divergence_reported():
     drive = DriveParams(amplitude=9.0, frequency=10.0)
     with pytest.raises(IntegrationDivergedError):
         simulate(cfg, drive, 5.0, 1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", [3, oscillator._SCALAR_MAX_ROWS + 2])
+def test_divergence_names_row_and_step(config, rows):
+    # one row starts far up the cubic stiffness, where the step is unstable
+    drive = DriveParams(amplitude=0.5, frequency=4.0)
+    dt = 1e-3
+    states = np.tile([0.05, 0.0, 0.02, 0.0], (rows, 1))
+    states[rows - 2, 0] = 50.0
+    with pytest.raises(IntegrationDivergedError) as err:
+        simulate_batch(config, drive, 1.0, dt, states)
+    assert err.value.row == rows - 2
+    assert f"row {rows - 2}" in str(err.value)
+    assert 0 < err.value.t <= 20 * dt
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+def test_kernel_paths_agree(config, modulated):
+    # on a periodic drive (4 Hz, 0.5 mT) round-off differences do not grow
+    drive = DriveParams(amplitude=0.5, frequency=4.0)
+    dt, n = default_step(config, drive), 6000
+    rows = oscillator._SCALAR_MAX_ROWS + 1
+    states = np.array([0.05, 0.0, 0.02, 0.0])[:, None] * np.linspace(0.5, 1.5, rows)
+    if modulated:
+        t = np.arange(n + 1) * dt
+        start = 0.5 * (1 + 0.5 * np.sin(0.7 * t)) * np.sin(2 * np.pi * 4.0 * t)
+        tm = t[:-1] + 0.5 * dt
+        mid = 0.5 * (1 + 0.5 * np.sin(0.7 * tm)) * np.sin(2 * np.pi * 4.0 * tm)
+        field = {"fields": (start, mid)}
+    else:
+        field = {"drive": drive}
+    batch_state, batch_rec = oscillator._rk4_steps(config, states, n, dt,
+                                                   record_every=7, **field)
+    row_state, row_rec = oscillator._rk4_steps(config, states[:, :2], n, dt,
+                                               record_every=7, **field)
+    assert batch_rec.shape == (n // 7, 2, rows)
+    assert np.max(np.abs(row_rec - batch_rec[:, :, :2])) <= 1e-12
+    assert np.max(np.abs(row_state - batch_state[:, :2])) <= 1e-12
+    assert np.ptp(row_rec[:, 0, 0]) > 1e-3
 
 
 def test_trajectory_csv_roundtrip(config, tmp_path):

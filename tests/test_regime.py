@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from softdyn import regime
 from softdyn.errors import SoftdynError
 from softdyn.oscillator import DriveParams, Trajectory, simulate
 from softdyn.regime import (CHAOTIC, PERIODIC, QUASIPERIODIC, RegimeLabel,
@@ -109,6 +110,15 @@ def test_sweep_records_failures_and_labels(config, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("f_hz,A_mT,label")
     assert len(lines) == 5
+
+
+def test_sweep_propagates_programming_errors(config, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("deliberate programming error")
+
+    monkeypatch.setattr(regime, "classify_trajectory", broken)
+    with pytest.raises(TypeError):
+        phase_diagram_sweep(config, [18.0], [9.0], periods=30)
 
 
 def test_sweep_deterministic(config):
