@@ -182,17 +182,6 @@ def tip_position(q1, q2, config: OscillatorConfig):
     return config.arm_length * np.sin(angle), config.arm_length * (1.0 - np.cos(angle))
 
 
-def _rhs(state: np.ndarray, b: float, c: OscillatorConfig) -> np.ndarray:
-    """Modal equations of motion; state has shape (4, ...) = (q1, u1, q2, u2)."""
-    q1, u1, q2, u2 = state
-    cos_q1 = np.cos(q1)
-    self_field = np.sin(2.0 * q1)
-    a1 = (-2 * c.zeta1 * c.omega1 * u1 - c.omega1**2 * q1 - c.kappa1 * q1**3
-          - c.chi * q1 * q2**2 + c.mu1 * b * cos_q1 + c.eta * b * self_field)
-    a2 = (-2 * c.zeta2 * c.omega2 * u2 - c.omega2**2 * q2 - c.kappa2 * q2**3
-          - c.chi * q2 * q1**2 + c.mu2 * b * cos_q1 + c.eta * b * self_field)
-    return np.stack([u1, a1, u2, a2])
-
 def _axial_amplitude(drive: DriveParams) -> float:
     # Only the along-axis component torques the moment; tilt reduces it.
     return drive.amplitude * math.cos(math.radians(drive.tilt))
@@ -200,22 +189,24 @@ def _axial_amplitude(drive: DriveParams) -> float:
 
 # Up to this many rows the per-row pure-Python loop is faster than the
 # batched numpy loop, whose cost at small batches is call dispatch rather
-# than arithmetic (crossover measured at 30 to 40 rows on a 2-core x86-64 host).
-_SCALAR_MAX_ROWS = 30
+# than arithmetic: about 40 us per step from 8 to 20 rows, against about
+# 3.2 us per row-step in pure Python (best of 5 on a 2-core x86-64 host,
+# where the two paths cross at 13 rows).
+_SCALAR_MAX_ROWS = 13
+
+# The numpy path evaluates a sine drive this many steps at a time, so a long
+# many-row run never holds full-length per-row field arrays.
+_FIELD_CHUNK = 2048
 
 
-def _step_fields(drive, t0, dt, n_steps, fields):
-    """Field (mT) at the start, midpoint and end of each of n_steps steps."""
-    if fields is None:
-        a = _axial_amplitude(drive)
-        w = 2 * math.pi * drive.frequency
-        t = t0 + np.arange(n_steps) * dt
-        return a * np.sin(w * t), a * np.sin(w * (t + 0.5 * dt)), a * np.sin(w * (t + dt))
-    start, mid = (np.ascontiguousarray(f, dtype=float) for f in fields)
-    if len(start) != n_steps + 1 or len(mid) != n_steps:
-        raise ValueError(f"need {n_steps + 1} step-boundary and {n_steps} midpoint field "
-                         f"values, got {len(start)} and {len(mid)}")
-    return start[:-1], mid, start[1:]
+def _step_fields(amp, omega, dt, t0, j0, j1):
+    """Sine field (mT) at the start, midpoint and end of steps j0..j1-1.
+
+    amp, omega and dt are floats, or vectors with one entry per column.
+    """
+    t = t0 + np.multiply.outer(np.arange(j0, j1), dt)
+    return (amp * np.sin(omega * t), amp * np.sin(omega * (t + 0.5 * dt)),
+            amp * np.sin(omega * (t + dt)))
 
 
 def _rk4_steps(config, state, n_steps, dt, *, drive=None, t0=0.0, fields=None,
@@ -224,46 +215,99 @@ def _rk4_steps(config, state, n_steps, dt, *, drive=None, t0=0.0, fields=None,
 
     The field is either the sine `drive` from time t0 or `fields` =
     (start, mid): the field at the n_steps + 1 step boundaries and at the
-    n_steps step midpoints.  With record_every = k > 0, q1 and q2 are
-    recorded after every k-th step.  Returns (state, records), records of
-    shape (n_steps // k, 2, B).  Raises IntegrationDivergedError at the
-    first step and row where a state component leaves |v| <= _STATE_BLOWUP
-    or is NaN.
+    n_steps step midpoints, shared by all rows.  `drive` is one DriveParams
+    or a sequence of one per row, and `dt` one step or one per row.  With
+    record_every = k > 0, q1 and q2 are recorded after every k-th step.
+    Returns (state, records), records of shape (n_steps // k, 2, B).  Raises
+    IntegrationDivergedError at the first step and row where a state
+    component leaves |v| <= _STATE_BLOWUP or is NaN.
     """
-    # memoryviews iterate as Python floats without copying the sequences
-    steps = [memoryview(f) for f in _step_fields(drive, t0, dt, n_steps, fields)]
     state = np.array(state, dtype=float)
     rows = state.shape[1]
     records = np.empty((n_steps // record_every if record_every else 0, 2, rows))
-    if rows <= _SCALAR_MAX_ROWS:
-        for j in range(rows):
-            state[:, j] = _rk4_row(config, state[:, j].tolist(), dt, steps, t0,
-                                   records[:, :, j], record_every, j)
+    dts = [float(dt)] * rows if np.ndim(dt) == 0 else np.asarray(dt, dtype=float).tolist()
+    if len(dts) != rows:
+        raise ValueError(f"need one step, or one per row ({rows}), got {len(dts)}")
+    if fields is None:
+        drives = [drive] * rows if isinstance(drive, DriveParams) else list(drive)
+        if len(drives) != rows:
+            raise ValueError(f"need one drive, or one per row ({rows}), got {len(drives)}")
+        # (amplitude, angular frequency, step) of each row's sine field
+        sines = [(_axial_amplitude(d), 2 * math.pi * d.frequency, h)
+                 for d, h in zip(drives, dts)]
     else:
-        state = _rk4_batch(config, state, dt, steps, t0, records, record_every)
+        start, mid = (np.ascontiguousarray(f, dtype=float) for f in fields)
+        if len(start) != n_steps + 1 or len(mid) != n_steps:
+            raise ValueError(f"need {n_steps + 1} step-boundary and {n_steps} midpoint field "
+                             f"values, got {len(start)} and {len(mid)}")
+        shared = (start[:-1], mid, start[1:])
+    if rows <= _SCALAR_MAX_ROWS:
+        for j, h in enumerate(dts):
+            if fields is None and (j == 0 or sines[j] != sines[j - 1]):
+                shared = _step_fields(*sines[j], t0, 0, n_steps)
+            # memoryviews iterate as Python floats without copying the sequences
+            state[:, j] = _rk4_row(config, state[:, j].tolist(), h,
+                                   [memoryview(f) for f in shared], t0,
+                                   records[:, :, j], record_every, j)
+        return state, records
+    if fields is None:
+        # one field column when all rows share their drive and step
+        sine = np.array(sines[:1] if len(set(sines)) == 1 else sines).T
+        chunks = (_step_fields(*sine, t0, j, min(j + _FIELD_CHUNK, n_steps))
+                  for j in range(0, n_steps, _FIELD_CHUNK))
+    else:
+        chunks = [tuple(f[:, None] for f in shared)]
+    state = _rk4_batch(config, state, np.array(dts), chunks, t0, records, record_every)
     return state, records
 
 
-def _rk4_batch(config, state, dt, steps, t0, records, record_every):
-    """Numpy path of _rk4_steps: all rows advance together."""
+def _rk4_batch(c, state, dt, chunks, t0, records, record_every):
+    """Numpy path of _rk4_steps: all rows advance together.
+
+    The linear part of the equations of motion is one 4x4 matrix product on
+    the state; the cubic, coupling and drive terms act on (q1, q2) as one
+    (2, B) array and are added to the accelerations.  `dt` has one step per
+    row; `chunks` yields the field at step start, midpoint and end as arrays
+    of shape (steps, 1 or B).
+    """
+    linear = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [-c.omega1**2, -2 * c.zeta1 * c.omega1, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.0],
+                       [0.0, 0.0, -c.omega2**2, -2 * c.zeta2 * c.omega2]])
+    cubic = np.array([[c.kappa1, c.chi], [c.chi, c.kappa2]])
+    torque = np.array([[c.mu1, c.eta], [c.mu2, c.eta]])
+    trig = np.empty((2, state.shape[1]))  # cos(q1), sin(2 q1)
+    dot = np.dot  # for small operands it dispatches faster than the @ operator
+
+    def rhs(s, b):
+        q1, q = s[0], s[::2]
+        np.cos(q1, out=trig[0])
+        np.sin(2.0 * q1, out=trig[1])
+        ds = dot(linear, s)
+        ds[1::2] += dot(torque, trig) * b - q * dot(cubic, q * q)
+        return ds
+
+    h, sixth = 0.5 * dt, dt / 6.0
+    i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (b1, bm, b2) in enumerate(zip(*steps), 1):
-            k1 = _rhs(state, b1, config)
-            k2 = _rhs(state + (0.5 * dt) * k1, bm, config)
-            k3 = _rhs(state + (0.5 * dt) * k2, bm, config)
-            k4 = _rhs(state + dt * k3, b2, config)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not (np.abs(state).max() <= _STATE_BLOWUP):  # NaN fails too
-                bounded = (np.abs(state) <= _STATE_BLOWUP).all(axis=0)
-                raise IntegrationDivergedError(t0 + i * dt, row=int(np.argmin(bounded)))
-            if record_every and i % record_every == 0:
-                records[i // record_every - 1, 0] = state[0]
-                records[i // record_every - 1, 1] = state[2]
+        for start, mid, end in chunks:
+            for b1, bm, b2 in zip(start, mid, end):
+                i += 1
+                k1 = rhs(state, b1)
+                k2 = rhs(state + h * k1, bm)
+                k3 = rhs(state + h * k2, bm)
+                k4 = rhs(state + dt * k3, b2)
+                state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                if not (np.abs(state).max() <= _STATE_BLOWUP):  # NaN fails too
+                    row = int(np.argmin((np.abs(state) <= _STATE_BLOWUP).all(axis=0)))
+                    raise IntegrationDivergedError(t0 + i * float(dt[row]), row=row)
+                if record_every and i % record_every == 0:
+                    records[i // record_every - 1] = state[::2]
     return state
 
 
 def _rk4_row(c, state, dt, steps, t0, records, record_every, row):
-    """Per-row pure-Python path of _rk4_steps: _rhs's arithmetic on floats."""
+    """Per-row pure-Python path of _rk4_steps: the equations of motion on floats."""
     d1, d2 = -2 * c.zeta1 * c.omega1, -2 * c.zeta2 * c.omega2
     s1, s2 = c.omega1**2, c.omega2**2
     kap1, kap2, chi, mu1, mu2, eta = c.kappa1, c.kappa2, c.chi, c.mu1, c.mu2, c.eta

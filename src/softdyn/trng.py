@@ -14,8 +14,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .errors import InsufficientDataError, SoftdynError
-from .oscillator import DriveParams, OscillatorConfig, simulate_batch
-from .trajio import poincare_sample
+from .oscillator import DriveParams, OscillatorConfig, _rk4_steps, tip_position
 
 __all__ = [
     "RawCoordinateStream",
@@ -34,22 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawCoordinateStream:
-    """Concatenated Poincare x (and optionally y) coordinates with run boundaries."""
+    """Merged Poincare x coordinates of an ensemble harvest."""
 
     values: np.ndarray
-    boundaries: tuple  # start index of each source run
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("stream values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "boundaries", tuple(sorted(self.boundaries)))
-
-    def runs(self):
-        edges = list(self.boundaries) + [len(self.values)]
-        for a, b in zip(edges, edges[1:]):
-            yield self.values[a:b]
 
 
 @dataclass(frozen=True)
@@ -114,12 +106,6 @@ class BitStream:
             text = "".join(line.strip() for line in fh)
         return cls(bits=np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"), width=width)
 
-    def integers_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(self.integers):
-                fh.write(f"{i},{v}\n")
-
 
 def strip_constant_runs(values: np.ndarray) -> np.ndarray:
     """Collapse runs of >= 2 consecutive equal values to a single value."""
@@ -137,8 +123,7 @@ def whiten_blocks(stream: RawCoordinateStream, block: int = 1500, trim: int = 10
     original sample order; residual ties share the max rank.  The
     trailing partial block is dropped.
     """
-    stripped = np.concatenate([strip_constant_runs(run) for run in stream.runs()]) \
-        if len(stream.values) else np.array([])
+    stripped = strip_constant_runs(stream.values)
     n_blocks = len(stripped) // block
     if n_blocks == 0:
         raise InsufficientDataError(
@@ -207,50 +192,49 @@ def uniformity_diagnostics(u: UniformStream):
     return theoretical, sample, float(ks.statistic), float(ks.pvalue)
 
 
-def harvest_poincare_stream(config: OscillatorConfig, drive: DriveParams,
-                            total_duration: float, n_runs: int = 64,
-                            dt: float | None = None, seed: int = 0,
-                            include_y: bool = False,
-                            interleave: bool = True) -> RawCoordinateStream:
-    """Simulate an ensemble of chaotic runs and merge their Poincare x coordinates.
+# Integration steps per drive period in the harvest; q1 and q2 are recorded
+# once per period, which samples the Poincare section at drive phase 0.
+_STEPS_PER_PERIOD = 60
 
-    Initial conditions are seeded perturbations so the runs decorrelate,
-    and each run additionally discards a random number of leading periods
-    so the kept samples start at staggered points on the attractor.
-    With `interleave` (default) the runs are merged round-robin, which
-    removes the strong phase coherence a single run of the oscillator
-    retains between successive drive periods; without it the runs are
-    concatenated back to back and the run boundaries recorded.
-    `include_y` adds each run's y components as additional runs.
+
+def harvest_poincare_stream(config: OscillatorConfig, drives: tuple[DriveParams, ...],
+                            total_periods: float, n_runs: int = 64,
+                            seed: int = 0) -> list[RawCoordinateStream]:
+    """Simulate an ensemble of chaotic runs per drive and merge each ensemble's Poincare x.
+
+    Drive i seeds its runs' initial perturbations, then their offsets, from
+    `seed + 10 * i`, so the runs decorrelate and each discards a random
+    number of leading periods to start at a staggered point on the
+    attractor.  All drives' runs are integrated as one batch, each row at
+    60 steps per period of its own drive for total_periods / n_runs
+    periods.  Each ensemble's runs are merged round-robin, which removes
+    the strong phase coherence a single run of the oscillator retains
+    between successive drive periods.  Returns one stream per drive.
     """
-    rng = np.random.default_rng(seed)
-    run_duration = total_duration / n_runs
-    if run_duration < 200 * drive.period:
-        raise ValueError("total_duration too short for the requested number of runs")
-    if dt is None:
-        dt = 1.0 / (60.0 * drive.frequency)
-    states = np.tile([0.05, 0.0, 0.02, 0.0], (n_runs, 1))
-    states += rng.normal(0.0, 0.3, states.shape)
-    offsets = rng.integers(0, n_runs, n_runs)
-    trajs = simulate_batch(config, drive, run_duration, dt, states)
+    periods_per_run = total_periods / n_runs
+    if periods_per_run < 200:
+        raise ValueError("total_periods too short for the requested number of runs")
+    n_steps = int(periods_per_run * _STEPS_PER_PERIOD)
+    states, offsets = [], []
+    for i in range(len(drives)):
+        rng = np.random.default_rng(seed + 10 * i)
+        states.append(np.tile([0.05, 0.0, 0.02, 0.0], (n_runs, 1))
+                      + rng.normal(0.0, 0.3, (n_runs, 4)))
+        offsets.append(rng.integers(0, n_runs, n_runs))
+    rows = [d for d in drives for _ in range(n_runs)]
+    dts = [1.0 / (_STEPS_PER_PERIOD * d.frequency) for d in rows]
+    _, q = _rk4_steps(config, np.concatenate(states).T, n_steps, np.array(dts),
+                      drive=rows, record_every=_STEPS_PER_PERIOD)
+    x, _ = tip_position(q[:, 0], q[:, 1], config)
     skip = 100  # transient periods before the map settles onto the attractor
-    channels = (0, 1) if include_y else (0,)
-    runs = []
-    for i, traj in enumerate(trajs):
-        pmap = poincare_sample(traj, drive)
-        for ch in channels:
-            runs.append(pmap.points[skip + offsets[i]:, ch])
-    if interleave:
-        n = min(len(r) for r in runs)
-        merged = np.stack([r[:n] for r in runs], axis=1).ravel()
-        return RawCoordinateStream(values=merged, boundaries=(0,))
-    values, boundaries = [], []
-    pos = 0
-    for r in runs:
-        boundaries.append(pos)
-        values.append(r)
-        pos += len(r)
-    return RawCoordinateStream(values=np.concatenate(values), boundaries=tuple(boundaries))
+    streams = []
+    for i, offset in enumerate(offsets):
+        n = len(x) - skip - offset.max()
+        # period index (n, n_runs) into each run's column, merged row by row
+        idx = skip + offset + np.arange(n)[:, None]
+        merged = x[idx, i * n_runs + np.arange(n_runs)].ravel()
+        streams.append(RawCoordinateStream(values=merged))
+    return streams
 
 
 def combine_bitstreams(a: BitStream, b: BitStream) -> BitStream:
@@ -286,17 +270,12 @@ def generate_bits(config: OscillatorConfig, n_bits: int, seed: int = 11,
         raise ValueError("n_bits must be positive")
     width = 7
     n_integers = -(-n_bits // width)
-    streams = []
-    for i, drive in enumerate(drives):
-        # each kept integer consumes stride*width uniforms upstream, plus
-        # the whitening trim and transient skip; pad generously.
-        uniforms = 5 * (n_integers + 200)
-        periods = uniforms * 1520 / 1480 + n_runs * (100 + n_runs + 30)
-        total = periods * drive.period
-        raw = harvest_poincare_stream(config, drive, total, n_runs=n_runs,
-                                      seed=seed + 10 * i)
-        bits = decimate_quantize(whiten_blocks(raw))
-        streams.append(bits)
+    # each kept integer consumes stride*width uniforms upstream, plus the
+    # whitening trim and transient skip; pad generously.
+    uniforms = 5 * (n_integers + 200)
+    periods = uniforms * 1520 / 1480 + n_runs * (100 + n_runs + 30)
+    raws = harvest_poincare_stream(config, drives, periods, n_runs=n_runs, seed=seed)
+    streams = [decimate_quantize(whiten_blocks(raw)) for raw in raws]
     combined = combine_bitstreams(*streams)
     if len(combined) < n_bits:
         raise InsufficientDataError(

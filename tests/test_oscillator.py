@@ -113,29 +113,36 @@ def test_divergence_names_row_and_step(config, rows):
     assert 0 < err.value.t <= 20 * dt
 
 
-@pytest.mark.parametrize("modulated", [False, True])
-def test_kernel_paths_agree(config, modulated):
-    # on a periodic drive (4 Hz, 0.5 mT) round-off differences do not grow
+@pytest.mark.parametrize("field", ["sine", "modulated", "per_row"])
+def test_kernel_paths_agree(config, field):
+    # on periodic drives (4 Hz, 0.5 mT; 3 Hz, 0.4 mT) round-off differences do not grow
     drive = DriveParams(amplitude=0.5, frequency=4.0)
     dt, n = default_step(config, drive), 6000
     rows = oscillator._SCALAR_MAX_ROWS + 1
     states = np.array([0.05, 0.0, 0.02, 0.0])[:, None] * np.linspace(0.5, 1.5, rows)
-    if modulated:
+    steps, drives = np.full(rows, dt), [drive] * rows
+    field_kw = {"drive": drive}
+    if field == "modulated":
         t = np.arange(n + 1) * dt
         start = 0.5 * (1 + 0.5 * np.sin(0.7 * t)) * np.sin(2 * np.pi * 4.0 * t)
         tm = t[:-1] + 0.5 * dt
         mid = 0.5 * (1 + 0.5 * np.sin(0.7 * tm)) * np.sin(2 * np.pi * 4.0 * tm)
-        field = {"fields": (start, mid)}
-    else:
-        field = {"drive": drive}
-    batch_state, batch_rec = oscillator._rk4_steps(config, states, n, dt,
-                                                   record_every=7, **field)
-    row_state, row_rec = oscillator._rk4_steps(config, states[:, :2], n, dt,
-                                               record_every=7, **field)
+        field_kw = {"fields": (start, mid)}
+    elif field == "per_row":
+        # two drives in one batch, each row on its own step
+        drives[rows // 2:] = [DriveParams(amplitude=0.4, frequency=3.0)] * (rows - rows // 2)
+        steps *= np.linspace(0.9, 1.1, rows)
+        field_kw = {"drive": drives}
+    batch_state, batch_rec = oscillator._rk4_steps(
+        config, states, n, steps if field == "per_row" else dt, record_every=7, **field_kw)
     assert batch_rec.shape == (n // 7, 2, rows)
-    assert np.max(np.abs(row_rec - batch_rec[:, :, :2])) <= 1e-12
-    assert np.max(np.abs(row_state - batch_state[:, :2])) <= 1e-12
-    assert np.ptp(row_rec[:, 0, 0]) > 1e-3
+    for j in (0, 1, rows - 1):  # each row alone, on the scalar path
+        row_kw = field_kw if field == "modulated" else {"drive": drives[j]}
+        row_state, row_rec = oscillator._rk4_steps(config, states[:, [j]], n, steps[j],
+                                                   record_every=7, **row_kw)
+        assert np.max(np.abs(row_rec[:, :, 0] - batch_rec[:, :, j])) <= 1e-12
+        assert np.max(np.abs(row_state[:, 0] - batch_state[:, j])) <= 1e-12
+        assert np.ptp(row_rec[:, 0, 0]) > 1e-3
 
 
 def test_trajectory_csv_roundtrip(config, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from softdyn.errors import InsufficientDataError, SoftdynError
-from softdyn.oscillator import DriveParams
+from softdyn import oscillator
+from softdyn.oscillator import DriveParams, simulate_batch, tip_position
+from softdyn.trajio import poincare_sample
 from softdyn.trng import (BitStream, RawCoordinateStream, UniformStream,
                           autocorrelation, combine_bitstreams,
                           decimate_quantize, generate_bits,
@@ -23,7 +25,7 @@ def test_strip_constant_runs_empty():
 
 def test_whiten_blocks_produces_block_uniform_ranks():
     rng = np.random.default_rng(3)
-    raw = RawCoordinateStream(values=rng.normal(size=3000), boundaries=(0,))
+    raw = RawCoordinateStream(values=rng.normal(size=3000))
     u = whiten_blocks(raw, block=1500, trim=10)
     assert len(u) == 2 * 1480
     # rank transform of distinct values covers the 1/m..1 grid exactly
@@ -33,13 +35,13 @@ def test_whiten_blocks_produces_block_uniform_ranks():
 
 def test_whiten_blocks_drops_partial_block():
     rng = np.random.default_rng(4)
-    raw = RawCoordinateStream(values=rng.normal(size=2000), boundaries=(0,))
+    raw = RawCoordinateStream(values=rng.normal(size=2000))
     u = whiten_blocks(raw, block=1500, trim=10)
     assert len(u) == 1480
 
 
 def test_whiten_blocks_insufficient():
-    raw = RawCoordinateStream(values=np.arange(100.0), boundaries=(0,))
+    raw = RawCoordinateStream(values=np.arange(100.0))
     with pytest.raises(InsufficientDataError):
         whiten_blocks(raw, block=1500, trim=10)
 
@@ -108,11 +110,29 @@ def test_combine_bitstreams_width_mismatch():
 
 def test_harvest_is_seed_deterministic(config):
     drive = DriveParams(amplitude=9.0, frequency=18.0)
-    a = harvest_poincare_stream(config, drive, 860 / 18.0, n_runs=4, seed=2)
-    b = harvest_poincare_stream(config, drive, 860 / 18.0, n_runs=4, seed=2)
-    c = harvest_poincare_stream(config, drive, 860 / 18.0, n_runs=4, seed=3)
+    [a] = harvest_poincare_stream(config, (drive,), 860, n_runs=4, seed=2)
+    [b] = harvest_poincare_stream(config, (drive,), 860, n_runs=4, seed=2)
+    [c] = harvest_poincare_stream(config, (drive,), 860, n_runs=4, seed=3)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values[:len(c.values)], c.values[:len(a.values)])
+
+
+@pytest.mark.parametrize("rows", [1, oscillator._SCALAR_MAX_ROWS + 1])
+def test_poincare_stride_records_match_sampled_trajectory(config, rows):
+    # the harvest's route: q1, q2 recorded every 60 steps, one drive period
+    drive = DriveParams(amplitude=0.5, frequency=4.0)
+    dt, periods = 1.0 / (60 * drive.frequency), 50
+    states = np.tile([0.05, 0.0, 0.02, 0.0], (rows, 1)) * np.linspace(0.5, 1.5, rows)[:, None]
+    _, q = oscillator._rk4_steps(config, states.T, 60 * periods, dt, drive=drive,
+                                 record_every=60)
+    x, _ = tip_position(q[:, 0], q[:, 1], config)
+    trajs = simulate_batch(config, drive, periods * drive.period, dt, states)
+    for j, traj in enumerate(trajs):
+        sampled = poincare_sample(traj, drive).points[:, 0]
+        n = min(len(sampled), periods)
+        assert n >= periods - 1
+        assert np.max(np.abs(x[:n, j] - sampled[:n])) <= 1e-12
+    assert np.ptp(x[:, 0]) > 1e-3
 
 
 def test_generate_bits_small(config):
