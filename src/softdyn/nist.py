@@ -8,7 +8,6 @@ not met report themselves as not applicable instead of raising.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -178,19 +177,22 @@ def longest_run_of_ones(bits, alpha: float = ALPHA) -> TestResult:
 # ---------------------------------------------------------------------------
 # 5. binary matrix rank
 
-def _gf2_rank(rows: list) -> int:
-    """Rank over GF(2) of a matrix given as integer bit-rows."""
-    rank = 0
-    for col in range(32):
-        mask = 1 << col
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & mask:
-                rows[i] ^= rows[rank]
-        rank += 1
+def _gf2_ranks(matrices: np.ndarray) -> np.ndarray:
+    """Ranks over GF(2) of a stack of 0/1 matrices, eliminated all at once.
+
+    Each row is packed into an integer, bit c holding column c.  Per column,
+    every matrix takes its first row with that bit set as the pivot and XORs
+    it into every row with the bit set, the pivot itself included, so a used
+    pivot drops out as zero.  The rank is the number of pivots found.
+    """
+    n_mats, _, n_cols = matrices.shape
+    rows = matrices @ (1 << np.arange(n_cols)).astype(np.int64)
+    mats = np.arange(n_mats)
+    rank = np.zeros(n_mats, dtype=np.int64)
+    for col in range(n_cols):
+        has = (rows >> col) & 1 == 1
+        rows ^= np.where(has, rows[mats, has.argmax(axis=1)][:, None], 0)
+        rank += has.any(axis=1)
     return rank
 
 
@@ -202,9 +204,7 @@ def binary_matrix_rank(bits, alpha: float = ALPHA) -> TestResult:
     if n_mats < 38:
         return _not_applicable("binary_matrix_rank", n,
                                "requires at least 38 32x32 matrices")
-    weights = (1 << np.arange(m)).astype(np.int64)
-    words = bits[:n_mats * m * m].reshape(n_mats, m, m) @ weights
-    ranks = np.array([_gf2_rank(list(map(int, row))) for row in words])
+    ranks = _gf2_ranks(bits[:n_mats * m * m].reshape(n_mats, m, m))
     # probabilities of rank m, m-1 and anything lower for a random
     # m x m matrix over GF(2)
     def p_rank(r):
@@ -244,11 +244,33 @@ def dft_spectral_test(bits, alpha: float = ALPHA) -> TestResult:
 # ---------------------------------------------------------------------------
 # 7. non-overlapping template matching
 
+def _template_hits(blocks: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Non-overlapping occurrences of the template in each row of blocks.
+
+    Windows are coded as integers to find every match; a match counts only
+    if it starts past the end of the last counted one.
+    """
+    m = len(template)
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+    codes = np.lib.stride_tricks.sliding_window_view(blocks, m, axis=1) @ weights
+    hits = np.zeros(len(blocks), dtype=np.int64)
+    for j, row in enumerate(codes == template @ weights):
+        count, free_from = 0, 0
+        for i in np.flatnonzero(row).tolist():
+            if i >= free_from:
+                count += 1
+                free_from = i + m
+        hits[j] = count
+    return hits
+
+
 def non_overlapping_template(bits, template=(0, 0, 0, 0, 0, 0, 0, 0, 1),
                              n_blocks: int = 8, alpha: float = ALPHA) -> TestResult:
     bits = _as_bits(bits)
     tmpl = _as_bits(template)
     m = len(tmpl)
+    if not 1 <= m <= 63:
+        raise ValueError("the template must hold 1 to 63 bits")  # int64 window codes
     n = len(bits)
     block_size = n // n_blocks
     params = {"template": "".join(map(str, tmpl)), "n_blocks": n_blocks}
@@ -257,19 +279,8 @@ def non_overlapping_template(bits, template=(0, 0, 0, 0, 0, 0, 0, 0, 1),
                                "blocks shorter than the template", params)
     mean = (block_size - m + 1) / 2.0 ** m
     var = block_size * (1.0 / 2.0 ** m - (2.0 * m - 1) / 2.0 ** (2 * m))
-    counts = np.empty(n_blocks)
-    for j in range(n_blocks):
-        block = bits[j * block_size:(j + 1) * block_size]
-        hits = 0
-        i = 0
-        limit = block_size - m
-        while i <= limit:
-            if np.array_equal(block[i:i + m], tmpl):
-                hits += 1
-                i += m  # non-overlapping: restart past the match
-            else:
-                i += 1
-        counts[j] = hits
+    blocks = bits[:n_blocks * block_size].reshape(n_blocks, block_size)
+    counts = _template_hits(blocks, tmpl).astype(float)
     chi2 = float(np.sum((counts - mean) ** 2 / var))
     p = special.gammaincc(n_blocks / 2.0, chi2 / 2.0)
     return _result("non_overlapping_template", [p], n, alpha, params)
@@ -300,6 +311,7 @@ def overlapping_template(bits, template_length: int = 9,
     expected = n_blocks * np.asarray(_OVERLAPPING_PIS)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     p = special.gammaincc(5 / 2.0, chi2 / 2.0)
+    params["nu"] = [int(c) for c in counts]
     return _result("overlapping_template", [p], n, alpha, params)
 
 
@@ -356,24 +368,37 @@ def universal_statistical(bits, alpha: float = ALPHA) -> TestResult:
 _LC_PIS = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 
 
-def _berlekamp_massey_length(block: np.ndarray) -> int:
-    """Linear complexity of a bit block (LFSR length), bit-packed."""
-    s = 0
-    for i, b in enumerate(block):
-        s |= int(b) << i
-    c, b = 1, 1
-    length, m = 0, -1
-    rs = 0  # bit i holds s_{n-i}
-    for pos in range(len(block)):
-        rs = ((rs << 1) | ((s >> pos) & 1))
-        d = (c & rs).bit_count() & 1
-        if d:
-            t = c
-            c ^= b << (pos - m)
-            if 2 * length <= pos:
-                length = pos + 1 - length
-                m = pos
-                b = t
+def _shift_in(register: np.ndarray, low) -> None:
+    """Shift every column's multi-word register left one bit, low into bit 0."""
+    register[1:] = (register[1:] << 1) | (register[:-1] >> 63)
+    register[0] = (register[0] << 1) | low
+
+
+def _berlekamp_massey_lengths(blocks: np.ndarray) -> np.ndarray:
+    """Linear complexity (shortest LFSR length) of each row of a 0/1 array.
+
+    Berlekamp-Massey runs on every row at once.  The connection polynomial
+    c, the previous one b and the reversed sequence (bit i holds s_{pos-i})
+    are registers of uint64 words, one column per row, bit i of word w
+    holding coefficient 64 w + i.  Only coefficients below the block length
+    meet the sequence, so the words hold every bit that matters.  b is kept
+    shifted left by the number of steps since the length last changed.
+    """
+    n_rows, n_bits = blocks.shape
+    c = np.zeros((-(-n_bits // 64), n_rows), dtype=np.uint64)
+    c[0] = 1
+    b_shifted = c.copy()
+    rev = np.zeros_like(c)
+    length = np.zeros(n_rows, dtype=np.int64)
+    for pos in range(n_bits):
+        _shift_in(rev, blocks[:, pos].astype(np.uint64))
+        _shift_in(b_shifted, 0)
+        odd = np.bitwise_count(np.bitwise_xor.reduce(c & rev)) & 1 == 1
+        grow = odd & (2 * length <= pos)
+        update = np.where(odd, b_shifted, 0)
+        b_shifted = np.where(grow, c, b_shifted)
+        c ^= update
+        length = np.where(grow, pos + 1 - length, length)
     return length
 
 
@@ -389,19 +414,14 @@ def linear_complexity(bits, block_size: int = 500, alpha: float = ALPHA) -> Test
     mu = (m / 2.0 + (9.0 + (-1.0) ** (m + 1)) / 36.0
           - (m / 3.0 + 2.0 / 9.0) / 2.0 ** m)
     sign = 1.0 if m % 2 == 0 else -1.0
-    counts = np.zeros(7)
-    blocks = bits[:n_blocks * m].reshape(n_blocks, m)
-    for block in blocks:
-        t = sign * (_berlekamp_massey_length(block) - mu) + 2.0 / 9.0
-        if t <= -2.5:
-            counts[0] += 1
-        elif t > 2.5:
-            counts[6] += 1
-        else:
-            counts[int(math.floor(t + 2.5)) + 1] += 1
+    lengths = _berlekamp_massey_lengths(bits[:n_blocks * m].reshape(n_blocks, m))
+    t = sign * (lengths - mu) + 2.0 / 9.0
+    category = np.where(t <= -2.5, 0, np.minimum(np.floor(t + 2.5) + 1, 6))
+    counts = np.bincount(category.astype(np.int64), minlength=7).astype(float)
     expected = n_blocks * np.asarray(_LC_PIS)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     p = special.gammaincc(3.0, chi2 / 2.0)
+    params["nu"] = [int(c) for c in counts]
     return _result("linear_complexity", [p], n, alpha, params)
 
 
@@ -489,29 +509,32 @@ def cumulative_sums(bits, alpha: float = ALPHA) -> TestResult:
 # ---------------------------------------------------------------------------
 # 14/15. random excursions
 
-def _walk_cycles(bits: np.ndarray):
-    s = np.cumsum(2 * _as_bits(bits) - 1)
-    s = np.concatenate([[0], s, [0]])
-    zeros = np.flatnonzero(s == 0)
-    cycles = [s[zeros[i]:zeros[i + 1] + 1] for i in range(len(zeros) - 1)]
-    return cycles
+def _walk(bits: np.ndarray) -> np.ndarray:
+    """The +-1 random walk of the bits, with a 0 added at each end."""
+    return np.concatenate([[0], np.cumsum(2 * bits - 1), [0]])
+
+
+def _excursion_visits(walk: np.ndarray) -> np.ndarray:
+    """Visits to the states -4..-1, 1..4 in each zero-to-zero cycle of the walk."""
+    near = np.abs(walk) <= 4
+    zeros_seen = (walk == 0).astype(np.int64)
+    np.cumsum(zeros_seen, out=zeros_seen)  # cycle k holds zeros_seen == k + 1
+    n_cycles = int(zeros_seen[-1]) - 1  # the closing zero starts no cycle
+    visits = np.bincount((zeros_seen[near] - 1) * 9 + walk[near] + 4,
+                         minlength=(n_cycles + 1) * 9)
+    return visits.reshape(n_cycles + 1, 9)[:n_cycles, [0, 1, 2, 3, 5, 6, 7, 8]]
 
 
 def random_excursions(bits, alpha: float = ALPHA) -> TestResult:
     bits = _as_bits(bits)
     n = len(bits)
-    cycles = _walk_cycles(bits)
-    j = len(cycles)
+    visit_counts = _excursion_visits(_walk(bits))
+    j = len(visit_counts)
     params = {"n_cycles": j}
     if j < 500:
         return _not_applicable("random_excursions", n,
                                "fewer than 500 zero-crossing cycles", params)
     states = [-4, -3, -2, -1, 1, 2, 3, 4]
-    visit_counts = np.zeros((j, len(states)), dtype=np.int64)
-    for ci, cyc in enumerate(cycles):
-        interior = cyc[1:-1]
-        for si, x in enumerate(states):
-            visit_counts[ci, si] = np.sum(interior == x)
     p_values = []
     for si, x in enumerate(states):
         ax = abs(x)
@@ -530,8 +553,7 @@ def random_excursions(bits, alpha: float = ALPHA) -> TestResult:
 def random_excursions_variant(bits, alpha: float = ALPHA) -> TestResult:
     bits = _as_bits(bits)
     n = len(bits)
-    s = np.cumsum(2 * bits - 1)
-    s = np.concatenate([[0], s, [0]])
+    s = _walk(bits)
     j = int(np.sum(s[1:] == 0))
     params = {"n_cycles": j}
     if j < 500:
@@ -579,15 +601,11 @@ def run_battery(bits, alpha: float = ALPHA) -> list:
     return results
 
 
-def battery_report(results, path=None) -> dict:
-    """Summarize battery results; optionally write the JSON report."""
+def battery_report(results) -> dict:
+    """Summarize battery results."""
     applicable = [r for r in results if r.applicable]
     passed = [r for r in applicable if r.passed]
-    report = {
+    return {
         "summary": {"applicable": len(applicable), "passed": len(passed)},
         "results": [r.to_dict() for r in results],
     }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report

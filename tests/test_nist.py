@@ -1,12 +1,18 @@
 """Statistical test battery: published known answers, oracles and edge cases.
 
-The reference p-values below are the worked examples from NIST Special
-Publication 800-22 rev 1a (sections 2.1-2.15), which uses the binary
-expansions of pi and e (integer part included) as its example inputs.
+The reference p-values below come from NIST Special Publication 800-22
+rev 1a (Rukhin et al., 2010): the worked examples of sections 2.1-2.15
+and the results on 1 Mbit of e listed in Appendix B.  Both use the binary
+expansions of pi and e (integer part included) as inputs.  Two Appendix B
+values are not reproduced and stay unasserted: block frequency (M=128)
+and approximate entropy (m=10) on e.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from softdyn import nist
 from softdyn.nist import (approximate_entropy, battery_report,
@@ -73,42 +79,198 @@ class TestKnownAnswers:
         assert r.p_values[4] == pytest.approx(0.844143, abs=TOL)
 
 
+def chi2_p(nu, pis, dof):
+    """Chi-square p-value of the category counts nu against probabilities pis."""
+    nu = np.asarray(nu, dtype=float)
+    expected = nu.sum() * np.asarray(pis)
+    return float(special.gammaincc(dof / 2.0, np.sum((nu - expected) ** 2 / expected) / 2.0))
+
+
+class TestAppendixB:
+    """SP 800-22 rev 1a, Appendix B: the battery on 1 Mbit of e.
+
+    Longest run and DFT reproduce the listed p-values.  Linear complexity
+    and overlapping template reproduce the listed category counts nu; their
+    listed p-values follow from older probability tables than the ones the
+    battery ships, so each test asserts the p-value under both tables.
+    """
+
+    def test_longest_run_e_1m(self, e_bits_1m):
+        assert longest_run_of_ones(e_bits_1m).p_values[0] == pytest.approx(0.718945, abs=TOL)
+
+    def test_dft_e_1m(self, e_bits_1m):
+        assert dft_spectral_test(e_bits_1m).p_values[0] == pytest.approx(0.847187, abs=TOL)
+
+    def test_linear_complexity_e_1m(self, e_bits_1m):
+        r = linear_complexity(e_bits_1m, block_size=1000)
+        assert r.params["nu"] == [11, 31, 116, 501, 258, 57, 26]
+        # the shipped table has pi_0 = 1/96; this value is computed, not listed
+        assert r.p_values[0] == pytest.approx(0.844721, abs=TOL)
+        # the listed 0.845406 follows from the same nu with pi_0 truncated to 0.01047
+        legacy = (0.01047,) + nist._LC_PIS[1:]
+        assert chi2_p(r.params["nu"], legacy, 6) == pytest.approx(0.845406, abs=TOL)
+
+    def test_overlapping_template_e_1m(self, e_bits_1m):
+        r = overlapping_template(e_bits_1m)
+        assert r.params["nu"] == [329, 164, 150, 111, 78, 136]
+        # the shipped table is Hamano & Kaneko's correction (IEICE Trans.
+        # Fundamentals E90-A(9), 2007); this value is computed, not listed
+        assert r.p_values[0] == pytest.approx(0.159027, abs=TOL)
+        # the listed 0.110434 follows from the same nu under the uncorrected table
+        legacy = (0.367879, 0.183940, 0.137955, 0.099634, 0.069935, 0.140657)
+        assert chi2_p(r.params["nu"], legacy, 5) == pytest.approx(0.110434, abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# Per-position and per-block loops the battery used before it was batched;
+# each property below compares the battery with one of them.
+
+def loop_template_hits(block, template):
+    """Non-overlapping matches, testing every position of the block in turn."""
+    m, hits, i = len(template), 0, 0
+    while i <= len(block) - m:
+        if np.array_equal(block[i:i + m], template):
+            hits += 1
+            i += m  # non-overlapping: restart past the match
+        else:
+            i += 1
+    return hits
+
+
+def elimination_rank(matrix):
+    """Rank over GF(2) by explicit row elimination on the 0/1 matrix."""
+    a = np.array(matrix, dtype=np.int64)
+    rank = 0
+    for col in range(a.shape[1]):
+        piv = np.flatnonzero(a[rank:, col]) + rank
+        if len(piv) == 0:
+            continue
+        a[[rank, piv[0]]] = a[[piv[0], rank]]
+        for r2 in range(a.shape[0]):
+            if r2 != rank and a[r2, col]:
+                a[r2] ^= a[rank]
+        rank += 1
+    return rank
+
+
+def int_berlekamp_massey_length(block):
+    """Linear complexity of one block, with its registers as Python ints."""
+    s = 0
+    for i, b in enumerate(block):
+        s |= int(b) << i
+    c, b = 1, 1
+    length, m = 0, -1
+    rs = 0  # bit i holds s_{pos-i}
+    for pos in range(len(block)):
+        rs = ((rs << 1) | ((s >> pos) & 1))
+        d = (c & rs).bit_count() & 1
+        if d:
+            t = c
+            c ^= b << (pos - m)
+            if 2 * length <= pos:
+                length = pos + 1 - length
+                m = pos
+                b = t
+    return length
+
+
+def loop_excursion_visits(bits):
+    """Visits to -4..-1, 1..4 per cycle, the walk split into a list of cycles."""
+    s = np.concatenate([[0], np.cumsum(2 * np.asarray(bits) - 1), [0]])
+    zeros = np.flatnonzero(s == 0)
+    cycles = [s[zeros[i]:zeros[i + 1] + 1] for i in range(len(zeros) - 1)]
+    states = [-4, -3, -2, -1, 1, 2, 3, 4]
+    visits = np.zeros((len(cycles), len(states)), dtype=np.int64)
+    for ci, cyc in enumerate(cycles):
+        for si, x in enumerate(states):
+            visits[ci, si] = np.sum(cyc[1:-1] == x)
+    return visits
+
+
+def lfsr_bits(taps, length, state, n):
+    """The first n output bits of a Fibonacci LFSR."""
+    out = []
+    for _ in range(n):
+        out.append(state & 1)
+        fb = (state & taps).bit_count() & 1
+        state = (state >> 1) | (fb << (length - 1))
+    return out
+
+
+@st.composite
+def blocks_and_template(draw):
+    template = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    n_blocks = draw(st.integers(1, 4))
+    block_size = draw(st.integers(len(template), 80))
+    # biased bits make long runs, so self-overlapping templates match often
+    p_one = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = (rng.random((n_blocks, block_size)) < p_one).astype(np.int64)
+    return blocks, np.array(template)
+
+
 class TestOracles:
     def test_berlekamp_massey_lfsr_example(self):
         # SP 800-22 section 2.10: s = 1101011110001 has complexity 4
         s = np.array([1, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1])
-        assert nist._berlekamp_massey_length(s) == 4
+        assert nist._berlekamp_massey_lengths(s[None, :])[0] == 4
 
     def test_berlekamp_massey_reproduces_lfsr(self):
         # bits from a known LFSR of length L have complexity exactly L
-        taps, L = 0b101001, 6
-        state = 0b000001
-        out = []
-        for _ in range(200):
-            out.append(state & 1)
-            fb = (state & taps).bit_count() & 1
-            state = (state >> 1) | (fb << (L - 1))
-        assert nist._berlekamp_massey_length(np.array(out)) == L
+        out = lfsr_bits(0b101001, 6, 0b000001, 200)
+        assert nist._berlekamp_massey_lengths(np.array([out]))[0] == 6
 
     def test_gf2_rank_matches_elimination(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.integers(0, 2, (32, 32))
-            rows = [int("".join(map(str, row)), 2) for row in m]
-            got = nist._gf2_rank(rows)
-            # reference: rank over GF(2) by explicit elimination
-            a = m.copy()
-            rank = 0
-            for col in range(32):
-                piv = np.flatnonzero(a[rank:, col]) + rank
-                if len(piv) == 0:
-                    continue
-                a[[rank, piv[0]]] = a[[piv[0], rank]]
-                for r2 in range(32):
-                    if r2 != rank and a[r2, col]:
-                        a[r2] ^= a[rank]
-                rank += 1
-            assert got == rank
+        mats = rng.integers(0, 2, (20, 32, 32))
+        assert list(nist._gf2_ranks(mats)) == [elimination_rank(m) for m in mats]
+
+    @settings(deadline=None)
+    @given(blocks_and_template())
+    @example((np.array([[1, 1, 1, 0, 1, 1, 1]]), np.array([1, 1])))
+    @example((np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]]), np.array([1, 0, 1])))
+    @example((np.array([[1, 0, 1]]), np.array([1, 0, 1])))
+    @example((np.array([[0, 0, 1], [1, 0, 0]]), np.array([1, 1])))  # no match across blocks
+    def test_template_hits_match_loop(self, case):
+        blocks, template = case
+        want = [loop_template_hits(block, template) for block in blocks]
+        assert list(nist._template_hits(blocks, template)) == want
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 32),
+           n_cols=st.integers(1, 32), density=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+           duplicate=st.booleans())
+    def test_gf2_ranks_match_elimination(self, seed, n_rows, n_cols, density, duplicate):
+        rng = np.random.default_rng(seed)
+        mats = (rng.random((3, n_rows, n_cols)) < density).astype(np.int64)
+        mats[0] = 0
+        if duplicate:
+            mats[:, -1] = mats[:, 0]
+        assert list(nist._gf2_ranks(mats)) == [elimination_rank(m) for m in mats]
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 4),
+           n_bits=st.sampled_from([1, 2, 13, 63, 64, 65, 127, 128, 129, 200]))
+    def test_berlekamp_massey_random_blocks(self, seed, n_rows, n_bits):
+        blocks = np.random.default_rng(seed).integers(0, 2, (n_rows, n_bits))
+        want = [int_berlekamp_massey_length(b) for b in blocks]
+        assert list(nist._berlekamp_massey_lengths(blocks)) == want
+
+    @settings(deadline=None)
+    @given(length=st.integers(1, 40), data=st.data())
+    def test_berlekamp_massey_lfsr_outputs(self, length, data):
+        taps = data.draw(st.integers(0, 2**length - 1)) | 1 << (length - 1)
+        state = data.draw(st.integers(1, 2**length - 1))
+        n_bits = data.draw(st.integers(1, 160))
+        blocks = np.array([lfsr_bits(taps, length, state, n_bits)])
+        assert nist._berlekamp_massey_lengths(blocks)[0] == int_berlekamp_massey_length(blocks[0])
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=1000))
+    @example([0, 1])  # the walk ends on a zero: an empty closing cycle
+    def test_excursion_visits_match_loop(self, bits):
+        got = nist._excursion_visits(nist._walk(np.array(bits)))
+        assert np.array_equal(got, loop_excursion_visits(bits))
 
 
 class TestDegenerateInputs:
@@ -128,6 +290,11 @@ class TestDegenerateInputs:
         assert not r.applicable
         assert r.note
 
+    @pytest.mark.parametrize("length", [0, 64])
+    def test_template_length_out_of_range_rejected(self, length):
+        with pytest.raises(ValueError, match="template"):
+            non_overlapping_template(np.zeros(1000, dtype=np.int64), template=[1] * length)
+
     def test_excursions_too_few_cycles(self):
         bits = np.ones(2000, dtype=np.int64)
         r = random_excursions(bits)
@@ -146,11 +313,9 @@ class TestBattery:
             for p in r.p_values:
                 assert 0.0 <= p <= 1.0
 
-    def test_battery_report_structure(self, tmp_path, reference_bits_1m):
+    def test_battery_report_structure(self, reference_bits_1m):
         results = run_battery(reference_bits_1m[:200_000])
-        path = tmp_path / "report.json"
-        report = battery_report(results, path)
-        assert path.exists()
+        report = battery_report(results)
         assert report["summary"]["applicable"] >= 10
         assert report["summary"]["passed"] <= report["summary"]["applicable"]
         names = {r["name"] for r in report["results"]}
