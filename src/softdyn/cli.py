@@ -57,11 +57,8 @@ class Workspace:
             self.manifest = {"artifacts": {}, "sections": {}}
         self.manifest["seed"] = seed
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out, name)
-
     def add_text(self, name: str, text: str) -> str:
-        path = self.path(name)
+        path = os.path.join(self.out, name)
         _atomic_write(path, text)
         digest = hashlib.sha256(text.encode()).hexdigest()
         self.manifest["artifacts"][name] = {
@@ -146,17 +143,12 @@ def simulate_cmd(seed, out, config_path, drive_freq, drive_amp, tilt,
     if dt is None:
         dt = default_step(config, drive)
     traj = simulate(config, drive, duration, dt, noise_sigma=noise, seed=seed)
-    tmp = ws.path("trajectory.csv")
-    traj.to_csv(tmp + ".part")
-    with open(tmp + ".part") as fh:
-        text = fh.read()
-    os.unlink(tmp + ".part")
-    ws.add_text("trajectory.csv", text)
+    path = ws.add_text("trajectory.csv", traj.to_csv())
     ws.record_section("simulate", {"samples": len(traj),
                                    "drive_freq": drive_freq,
                                    "drive_amp": drive_amp})
     ws.save()
-    click.echo(f"wrote {tmp} ({len(traj)} samples)")
+    click.echo(f"wrote {path} ({len(traj)} samples)")
 
 
 @cli.command()
@@ -202,12 +194,7 @@ def sweep(seed, out, config_path, freqs, amps, periods):
     config = _load_config(config_path)
     results = regime.phase_diagram_sweep(config, _grid(freqs), _grid(amps),
                                          periods=periods)
-    tmp = ws.path("sweep.csv.part")
-    regime.sweep_to_csv(results, tmp)
-    with open(tmp) as fh:
-        text = fh.read()
-    os.unlink(tmp)
-    ws.add_text("sweep.csv", text)
+    ws.add_text("sweep.csv", regime.sweep_to_csv(results))
     labels = [r.label for r in results.values()
               if isinstance(r, regime.RegimeLabel)]
     counts = {name: labels.count(name)
@@ -245,11 +232,7 @@ def trng_cmd(seed, out, config_path, duration, drive_freq, drive_amp, n_bits):
     from scipy import stats as sp_stats
     chi2_p = float(sp_stats.chi2.sf(chi2, 127))
     ks_p = float(sp_stats.kstest((ints + 0.5) / 128.0, "uniform").pvalue)
-    bit_lines = []
-    text = "".join("01"[b] for b in bits.bits)
-    for i in range(0, len(text), 64):
-        bit_lines.append(text[i:i + 64])
-    ws.add_text("bits.txt", "\n".join(bit_lines) + "\n")
+    ws.add_text("bits.txt", bits.to_ascii())
     ws.add_text("integers.csv", "index,value\n" + "".join(
         f"{i},{v}\n" for i, v in enumerate(ints)))
     diag = {"n_bits": len(bits), "n_integers": len(ints),

@@ -428,16 +428,20 @@ def linear_complexity(bits, block_size: int = 500, alpha: float = ALPHA) -> Test
 # ---------------------------------------------------------------------------
 # 11/12. serial and approximate entropy share window counting
 
+def _window_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Occurrences of each m-bit pattern over the overlapping m-windows with wraparound."""
+    ext = np.concatenate([bits, bits[:m - 1]]) if m > 1 else bits
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+    codes = np.lib.stride_tricks.sliding_window_view(ext, m) @ weights
+    return np.bincount(codes, minlength=1 << m)
+
+
 def _psi_sq(bits: np.ndarray, m: int) -> float:
     """Psi-square statistic over overlapping m-windows with wraparound."""
     if m == 0:
         return 0.0
     n = len(bits)
-    ext = np.concatenate([bits, bits[:m - 1]]) if m > 1 else bits
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    codes = np.lib.stride_tricks.sliding_window_view(ext, m) @ weights
-    counts = np.bincount(codes, minlength=1 << m)
-    return float((1 << m) / n * np.sum(counts.astype(float) ** 2) - n)
+    return float((1 << m) / n * np.sum(_window_counts(bits, m).astype(float) ** 2) - n)
 
 
 def serial_test(bits, pattern_length: int = 5, alpha: float = ALPHA) -> TestResult:
@@ -466,10 +470,7 @@ def approximate_entropy(bits, pattern_length: int = 2, alpha: float = ALPHA) -> 
         return _not_applicable("approximate_entropy", n, "pattern too long", params)
 
     def phi(mm):
-        ext = np.concatenate([bits, bits[:mm - 1]]) if mm > 1 else bits
-        weights = (1 << np.arange(mm - 1, -1, -1)).astype(np.int64)
-        codes = np.lib.stride_tricks.sliding_window_view(ext, mm) @ weights
-        counts = np.bincount(codes, minlength=1 << mm).astype(float)
+        counts = _window_counts(bits, mm).astype(float)
         nz = counts[counts > 0]
         return float(np.sum(nz / n * np.log(nz / n)))
 

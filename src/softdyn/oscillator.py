@@ -13,9 +13,10 @@ motion is periodic, quasiperiodic or chaotic.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "DriveParams",
     "OscillatorConfig",
     "Trajectory",
-    "drive_field",
     "tip_position",
     "default_step",
     "simulate",
@@ -43,7 +43,6 @@ class DriveParams:
     amplitude: float
     frequency: float
     tilt: float = 0.0
-    waveform: str = "sine"
 
     def __post_init__(self):
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
@@ -52,8 +51,6 @@ class DriveParams:
             raise ValueError(f"frequency must be > 0, got {self.frequency}")
         if not -90.0 <= self.tilt <= 90.0:
             raise ValueError(f"tilt must be in [-90, 90] degrees, got {self.tilt}")
-        if self.waveform != "sine":
-            raise ValueError(f"only the 'sine' waveform is supported, got {self.waveform!r}")
 
     @property
     def period(self) -> float:
@@ -151,14 +148,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.t, self.x, self.y, self.phase])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t_s,x,y,phase", comments="")
+    def to_csv(self) -> str:
+        # closed on exit: savetxt's writer keeps the buffer in a reference cycle
+        with io.StringIO() as text:
+            np.savetxt(text, np.column_stack([self.t, self.x, self.y, self.phase]),
+                       fmt="%.17g", delimiter=",", header="t_s,x,y,phase", comments="")
+            return text.getvalue()
 
     @classmethod
     def from_csv(cls, path, provenance: str = "recorded") -> "Trajectory":
@@ -167,13 +162,6 @@ class Trajectory:
         rate = 1.0 / (t[1] - t[0]) if len(t) >= 2 else 1.0
         return cls(t=t, x=data[:, 1], y=data[:, 2], phase=data[:, 3],
                    sample_rate=rate, provenance=provenance)
-
-
-def drive_field(params: DriveParams, t) -> np.ndarray:
-    """In-plane field vector (mT) at time(s) t: B(t) = A*sin(2*pi*f*t) along the tilt direction."""
-    b = params.amplitude * np.sin(2 * np.pi * params.frequency * np.asarray(t, dtype=float))
-    tilt = math.radians(params.tilt)
-    return np.stack([b * math.cos(tilt), b * math.sin(tilt)], axis=-1)
 
 
 def tip_position(q1, q2, config: OscillatorConfig):
@@ -222,7 +210,7 @@ def _rk4_steps(config, state, n_steps, dt, *, drive=None, t0=0.0, fields=None,
     IntegrationDivergedError at the first step and row where a state
     component leaves |v| <= _STATE_BLOWUP or is NaN.
     """
-    state = np.array(state, dtype=float)
+    state = np.array(state, dtype=float, order="C")
     rows = state.shape[1]
     records = np.empty((n_steps // record_every if record_every else 0, 2, rows))
     dts = [float(dt)] * rows if np.ndim(dt) == 0 else np.asarray(dt, dtype=float).tolist()
@@ -251,24 +239,27 @@ def _rk4_steps(config, state, n_steps, dt, *, drive=None, t0=0.0, fields=None,
                                    records[:, :, j], record_every, j)
         return state, records
     if fields is None:
-        # one field column when all rows share their drive and step
-        sine = np.array(sines[:1] if len(set(sines)) == 1 else sines).T
-        chunks = (_step_fields(*sine, t0, j, min(j + _FIELD_CHUNK, n_steps))
+        # one field column per distinct (amplitude, frequency, step), expanded to the rows
+        sine, inverse = np.unique(np.array(sines), axis=0, return_inverse=True)
+        chunks = (tuple(np.take(f, inverse, axis=1)
+                        for f in _step_fields(*sine.T, t0, j, min(j + _FIELD_CHUNK, n_steps)))
                   for j in range(0, n_steps, _FIELD_CHUNK))
     else:
         chunks = [tuple(f[:, None] for f in shared)]
-    state = _rk4_batch(config, state, np.array(dts), chunks, t0, records, record_every)
+    _rk4_batch(config, state, np.array(dts), chunks, t0, records, record_every)
     return state, records
 
 
 def _rk4_batch(c, state, dt, chunks, t0, records, record_every):
-    """Numpy path of _rk4_steps: all rows advance together.
+    """Numpy path of _rk4_steps: all rows advance together, `state` in place.
 
     The linear part of the equations of motion is one 4x4 matrix product on
     the state; the cubic, coupling and drive terms act on (q1, q2) as one
     (2, B) array and are added to the accelerations.  `dt` has one step per
     row; `chunks` yields the field at step start, midpoint and end as arrays
-    of shape (steps, 1 or B).
+    of shape (steps, 1 or B).  Every operation writes into buffers allocated
+    once, since at these batch sizes numpy's per-call cost, not arithmetic,
+    sets the step time.
     """
     linear = np.array([[0.0, 1.0, 0.0, 0.0],
                        [-c.omega1**2, -2 * c.zeta1 * c.omega1, 0.0, 0.0],
@@ -276,34 +267,51 @@ def _rk4_batch(c, state, dt, chunks, t0, records, record_every):
                        [0.0, 0.0, -c.omega2**2, -2 * c.zeta2 * c.omega2]])
     cubic = np.array([[c.kappa1, c.chi], [c.chi, c.kappa2]])
     torque = np.array([[c.mu1, c.eta], [c.mu2, c.eta]])
-    trig = np.empty((2, state.shape[1]))  # cos(q1), sin(2 q1)
-    dot = np.dot  # for small operands it dispatches faster than the @ operator
-
-    def rhs(s, b):
-        q1, q = s[0], s[::2]
-        np.cos(q1, out=trig[0])
-        np.sin(2.0 * q1, out=trig[1])
-        ds = dot(linear, s)
-        ds[1::2] += dot(torque, trig) * b - q * dot(cubic, q * q)
-        return ds
-
+    rows = state.shape[1]
+    k = k1, k2, k3, k4 = np.empty((4, 4, rows))  # stage slopes
+    x, acc = np.empty((2, 4, rows))  # stage input, RK4 increment
+    trig, drive, coupling, qq = np.empty((4, 2, rows))  # trig = cos(q1), sin(2 q1)
+    trig0, trig1 = trig
     h, sixth = 0.5 * dt, dt / 6.0
+    # per stage: its step weight and previous slope (stages 2-4 start from
+    # state + weight * slope), its input's state, q1 and (q1, q2) views, and
+    # its slope and acceleration rows
+    stages = [(w, kp, s, s[0], s[::2], kj, kj[1::2])
+              for w, kp, s, kj in zip((None, h, h, dt), (None, k1, k2, k3), (state, x, x, x), k)]
+    # each call's last argument is its output
+    dot, cos, sin, mul, add, sub = np.dot, np.cos, np.sin, np.multiply, np.add, np.subtract
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for start, mid, end in chunks:
-            for b1, bm, b2 in zip(start, mid, end):
+            for step_fields in zip(start, mid, mid, end):
                 i += 1
-                k1 = rhs(state, b1)
-                k2 = rhs(state + h * k1, bm)
-                k3 = rhs(state + h * k2, bm)
-                k4 = rhs(state + dt * k3, b2)
-                state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                if not (np.abs(state).max() <= _STATE_BLOWUP):  # NaN fails too
+                for b, (w, kp, s, q1, q, kj, accel) in zip(step_fields, stages):
+                    if kp is not None:
+                        mul(w, kp, x)
+                        add(state, x, x)
+                    cos(q1, trig0)
+                    mul(2.0, q1, trig1)
+                    sin(trig1, trig1)
+                    dot(linear, s, kj)
+                    dot(torque, trig, drive)
+                    mul(drive, b, drive)
+                    mul(q, q, qq)
+                    dot(cubic, qq, coupling)
+                    mul(q, coupling, coupling)
+                    sub(drive, coupling, drive)
+                    add(accel, drive, accel)
+                # state + sixth * (k1 + 2 * (k2 + k3) + k4)
+                add(k2, k3, acc)
+                mul(2.0, acc, acc)
+                add(k1, acc, acc)
+                add(acc, k4, acc)
+                mul(sixth, acc, acc)
+                add(state, acc, state)
+                if not (np.abs(state, acc).max() <= _STATE_BLOWUP):  # NaN fails too
                     row = int(np.argmin((np.abs(state) <= _STATE_BLOWUP).all(axis=0)))
                     raise IntegrationDivergedError(t0 + i * float(dt[row]), row=row)
                 if record_every and i % record_every == 0:
                     records[i // record_every - 1] = state[::2]
-    return state
 
 
 def _rk4_row(c, state, dt, steps, t0, records, record_every, row):

@@ -49,12 +49,6 @@ class Spectrum:
         if np.any(self.power < 0):
             raise ValueError("power must be non-negative")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("f_hz,power\n")
-            for f, p in zip(self.freqs, self.power):
-                fh.write(f"{f!r},{p!r}\n".replace("'", ""))
-
 
 @dataclass(frozen=True)
 class RegimeThresholds:
@@ -225,14 +219,13 @@ def phase_diagram_sweep(config: OscillatorConfig, f_grid, a_grid, periods: int =
     return results
 
 
-def sweep_to_csv(results: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("f_hz,A_mT,label,cluster_count,clustered_fraction,flatness,harmonic_fraction\n")
-        for (f, a) in sorted(results):
-            r = results[(f, a)]
-            if isinstance(r, RegimeLabel):
-                fh.write(f"{f:g},{a:g},{r.label},{r.cluster_count},"
-                         f"{r.clustered_fraction:.6f},{r.flatness:.6f},{r.harmonic_fraction:.6f}\n")
-            else:
-                fh.write(f"{f:g},{a:g},{r},,,,\n")
-    return None
+def sweep_to_csv(results: dict) -> str:
+    lines = ["f_hz,A_mT,label,cluster_count,clustered_fraction,flatness,harmonic_fraction\n"]
+    for (f, a) in sorted(results):
+        r = results[(f, a)]
+        if isinstance(r, RegimeLabel):
+            lines.append(f"{f:g},{a:g},{r.label},{r.cluster_count},{r.clustered_fraction:.6f},"
+                         f"{r.flatness:.6f},{r.harmonic_fraction:.6f}\n")
+        else:
+            lines.append(f"{f:g},{a:g},{r},,,,\n")
+    return "".join(lines)

@@ -18,7 +18,6 @@ from .oscillator import DriveParams, OscillatorConfig, _rk4_steps, tip_position
 from .signals import MGParams, mackey_glass, waveform
 
 __all__ = [
-    "ReservoirDataset",
     "RidgeModel",
     "excite_reservoir",
     "lag_embed",
@@ -28,25 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_CARRIER = DriveParams(amplitude=1.0, frequency=4.8)
-
-
-@dataclass(frozen=True)
-class ReservoirDataset:
-    """Aligned input, readouts and target with the train/test boundary."""
-
-    u: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    split: int
-    bounds: dict
-
-    def __post_init__(self):
-        n = len(self.u)
-        if not (len(self.x) == len(self.y) == len(self.z) == n):
-            raise ValueError("all series must have equal length")
-        if not 0 < self.split < n:
-            raise ValueError("split must fall inside the series")
 
 
 @dataclass(frozen=True)

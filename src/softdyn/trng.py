@@ -94,11 +94,9 @@ class BitStream:
         bits = ((ints[:, None] >> shifts) & 1).astype(np.uint8).ravel()
         return cls(bits=bits, width=width)
 
-    def to_ascii(self, path, line_width: int = 64) -> None:
-        text = "".join("01"[b] for b in self.bits)
-        with open(path, "w") as fh:
-            for i in range(0, len(text), line_width):
-                fh.write(text[i:i + line_width] + "\n")
+    def to_ascii(self, line_width: int = 64) -> str:
+        text = (self.bits + ord("0")).tobytes().decode()
+        return "".join(text[i:i + line_width] + "\n" for i in range(0, len(text), line_width))
 
     @classmethod
     def from_ascii(cls, path, width: int = 7) -> "BitStream":
@@ -135,7 +133,7 @@ def whiten_blocks(stream: RawCoordinateStream, block: int = 1500, trim: int = 10
         order = np.argsort(chunk, kind="stable")
         drop = np.zeros(block, dtype=bool)
         drop[order[:trim]] = True
-        drop[order[-trim:]] = True
+        drop[order[block - trim:]] = True
         kept = chunk[~drop]
         m = len(kept)
         if m < block - 2 * trim:

@@ -8,7 +8,7 @@ import pytest
 from softdyn import oscillator
 from softdyn.errors import IntegrationDivergedError
 from softdyn.oscillator import (DriveParams, OscillatorConfig, Trajectory,
-                                default_step, drive_field, largest_lyapunov,
+                                default_step, largest_lyapunov,
                                 simulate, simulate_batch, tip_position)
 
 
@@ -20,17 +20,6 @@ def test_drive_validation():
     with pytest.raises(ValueError):
         DriveParams(amplitude=1.0, frequency=10.0, tilt=120.0)
     assert DriveParams(amplitude=1.0, frequency=8.0).period == pytest.approx(0.125)
-
-
-def test_drive_field_waveform():
-    drive = DriveParams(amplitude=2.0, frequency=4.0)
-    t = np.linspace(0, 1, 101)
-    b = drive_field(drive, t)
-    assert b.shape == (101, 2)
-    assert np.allclose(b[:, 0], 2.0 * np.sin(2 * np.pi * 4.0 * t))
-    assert np.allclose(b[:, 1], 0.0)
-    tilted = drive_field(DriveParams(amplitude=2.0, frequency=4.0, tilt=90.0), t)
-    assert np.allclose(tilted[:, 0], 0.0, atol=1e-12)
 
 
 def test_tip_position_small_angle(config):
@@ -145,11 +134,66 @@ def test_kernel_paths_agree(config, field):
         assert np.ptp(row_rec[:, 0, 0]) > 1e-3
 
 
+def _reference_batch(c, state, dt, fields, record_every):
+    """The batched RK4 loop as first written, with a fresh array per operation."""
+    linear = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [-c.omega1**2, -2 * c.zeta1 * c.omega1, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.0],
+                       [0.0, 0.0, -c.omega2**2, -2 * c.zeta2 * c.omega2]])
+    cubic = np.array([[c.kappa1, c.chi], [c.chi, c.kappa2]])
+    torque = np.array([[c.mu1, c.eta], [c.mu2, c.eta]])
+    trig = np.empty((2, state.shape[1]))
+
+    def rhs(s, b):
+        q1, q = s[0], s[::2]
+        np.cos(q1, out=trig[0])
+        np.sin(2.0 * q1, out=trig[1])
+        ds = np.dot(linear, s)
+        ds[1::2] += np.dot(torque, trig) * b - q * np.dot(cubic, q * q)
+        return ds
+
+    h, sixth = 0.5 * dt, dt / 6.0
+    records = []
+    for i, (b1, bm, b2) in enumerate(zip(*fields), 1):
+        k1 = rhs(state, b1)
+        k2 = rhs(state + h * k1, bm)
+        k3 = rhs(state + h * k2, bm)
+        k4 = rhs(state + dt * k3, b2)
+        state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if i % record_every == 0:
+            records.append(state[::2])
+    return state, np.array(records)
+
+
+@pytest.mark.parametrize("steps", ["per_drive", "per_row"])
+def test_batch_kernel_matches_reference_bit_for_bit(config, steps):
+    # chaotic drives, where any change in round-off would grow until the rows differ
+    drives = [DriveParams(amplitude=9.0, frequency=18.0)] * 64 \
+        + [DriveParams(amplitude=6.0, frequency=16.0)] * 64
+    dts = np.array([1.0 / (60.0 * d.frequency) for d in drives])
+    if steps == "per_row":
+        dts *= np.linspace(0.95, 1.05, len(drives))
+    rng = np.random.default_rng(3)
+    states = np.array([0.05, 0.0, 0.02, 0.0])[:, None] + rng.normal(0.0, 0.3, (4, len(drives)))
+    n = 600
+    state, records = oscillator._rk4_steps(config, states, n, dts, drive=drives,
+                                           record_every=60)
+    amp = np.array([d.amplitude for d in drives])
+    omega = np.array([2 * np.pi * d.frequency for d in drives])
+    t = np.multiply.outer(np.arange(n), dts)
+    fields = (amp * np.sin(omega * t), amp * np.sin(omega * (t + 0.5 * dts)),
+              amp * np.sin(omega * (t + dts)))
+    ref_state, ref_records = _reference_batch(config, states, dts, fields, 60)
+    assert np.array_equal(state, ref_state)
+    assert np.array_equal(records, ref_records)
+    assert np.ptp(records[-1, 0]) > 0.1
+
+
 def test_trajectory_csv_roundtrip(config, tmp_path):
     drive = DriveParams(amplitude=5.0, frequency=10.0)
     traj = simulate(config, drive, 0.5, 1e-3)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    path.write_text(traj.to_csv())
     back = Trajectory.from_csv(path)
     assert np.array_equal(back.x, traj.x)
     assert np.array_equal(back.t, traj.t)

@@ -100,14 +100,12 @@ def test_poincare_clusters_minimum_points():
         poincare_clusters(pmap)
 
 
-def test_sweep_records_failures_and_labels(config, tmp_path):
+def test_sweep_records_failures_and_labels(config):
     results = phase_diagram_sweep(config, [3.0, 18.0], [0.5, 9.0], periods=120)
     assert len(results) == 4
     assert all(isinstance(r, (RegimeLabel, str)) for r in results.values())
     assert isinstance(results[(3.0, 0.5)], RegimeLabel)
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(results, path)
-    lines = path.read_text().strip().splitlines()
+    lines = sweep_to_csv(results).strip().splitlines()
     assert lines[0].startswith("f_hz,A_mT,label")
     assert len(lines) == 5
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from softdyn.reservoir import (excite_reservoir, lag_embed, ridge_fit,
                                run_transform_task)
@@ -22,6 +24,20 @@ class TestLagEmbed:
         feats, _, _ = lag_embed([a, b], lag=2, tau_pred=0, target=a)
         assert feats.shape == (9, 5)
         assert feats[0].tolist() == [0.0, 1.0, 0.0, 2.0, 1.0]
+
+    @given(n=st.integers(2, 60), lag=st.integers(1, 20), tau_pred=st.integers(0, 20),
+           n_series=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_rows_align_with_targets(self, n, lag, tau_pred, n_series, seed):
+        assume(n > lag + tau_pred)
+        rng = np.random.default_rng(seed)
+        series, target = rng.normal(size=(n_series, n)), rng.normal(size=n)
+        feats, targ, rows = lag_embed(list(series), lag=lag, tau_pred=tau_pred, target=target)
+        assert rows.tolist() == list(range(lag - 1, n - tau_pred))
+        for r, t in enumerate(rows):
+            # each series' window ends at t, oldest sample first; the target is tau_pred ahead
+            expected = np.concatenate([s[t - lag + 1:t + 1] for s in series] + [[1.0]])
+            assert np.array_equal(feats[r], expected)
+            assert targ[r] == target[t + tau_pred]
 
     def test_validation(self):
         s = np.arange(10.0)

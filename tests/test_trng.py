@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from softdyn.errors import InsufficientDataError, SoftdynError
 from softdyn import oscillator
@@ -63,11 +65,41 @@ def test_bitstream_integer_roundtrip():
     assert bs.integers.tolist() == ints.tolist()
 
 
+@given(width=st.integers(1, 16), data=st.data())
+def test_bitstream_integers_roundtrip_property(width, data):
+    ints = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=50))
+    bs = BitStream.from_integers(ints, width=width)
+    assert len(bs) == width * len(ints)
+    assert bs.integers.tolist() == ints
+    # and from bits: integers, back to bits, drops only the trailing partial integer
+    bits = data.draw(st.lists(st.integers(0, 1), max_size=100))
+    whole = len(bits) // width * width
+    again = BitStream.from_integers(BitStream(bits=bits, width=width).integers, width=width)
+    assert again.bits.tolist() == bits[:whole]
+
+
+@settings(deadline=None)
+@given(block=st.integers(3, 60), trim=st.integers(0, 10), n_blocks=st.integers(1, 4),
+       levels=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_whiten_blocks_lies_on_rank_grid(block, trim, n_blocks, levels, seed):
+    assume(block > 2 * trim)
+    # few levels make ties; constant runs are stripped before blocking
+    values = np.random.default_rng(seed).integers(0, levels, n_blocks * block + 17) / 7.0
+    assume(len(strip_constant_runs(values)) >= block)
+    u = whiten_blocks(RawCoordinateStream(values=values), block=block, trim=trim)
+    m = block - 2 * trim
+    assert len(u) % m == 0
+    assert np.all((u.values > 0) & (u.values <= 1))
+    assert np.array_equal(np.round(u.values * m) / m, u.values)
+    for b in np.unique(u.block_index):
+        assert u.values[u.block_index == b].max() == 1.0  # the block's largest value has rank m
+
+
 def test_bitstream_ascii_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     bs = BitStream.from_integers(rng.integers(0, 128, 50), width=7)
     path = tmp_path / "bits.txt"
-    bs.to_ascii(path)
+    path.write_text(bs.to_ascii())
     back = BitStream.from_ascii(path, width=7)
     assert np.array_equal(back.bits, bs.bits)
 
